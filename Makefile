@@ -23,6 +23,8 @@
 #                  /metrics and strictly validate the exposition
 #   make cover   - coverage profile over the core packages (engine, client,
 #                  internal) with a hard threshold; writes cover.out
+#   make loc     - non-test Go lines outside perfbench/: the net-LoC figure
+#                  a simplification change reports (not part of ci)
 
 GO ?= go
 
@@ -32,7 +34,7 @@ GO ?= go
 COVER_PKGS = .,./parselclient,./parselclient/cluster,./internal/...
 COVER_MIN ?= 85
 
-.PHONY: ci vet build test race e2e fuzz smoke cover
+.PHONY: ci vet build test race e2e fuzz smoke cover loc
 
 ci: vet build test race e2e fuzz smoke cover
 
@@ -73,3 +75,7 @@ cover:
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %s%% threshold\n", t, min; exit 1 } \
 		printf "coverage %.1f%% (threshold %s%%)\n", t, min }'
+
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | \
+		grep -v -e '_test\.go$$' -e '^perfbench/' | xargs cat | wc -l

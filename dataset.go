@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -186,12 +185,7 @@ func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K],
 	if err := ds.enter(); err != nil {
 		return Result[K]{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Select(ds.shards, rank)
+	return ds.pool.SelectContext(ctx, ds.shards, rank)
 }
 
 // SelectMany fans a batch of independent rank queries against the
@@ -237,12 +231,7 @@ func (ds *Dataset[K]) MedianContext(ctx context.Context) (Result[K], error) {
 	if err := ds.enter(); err != nil {
 		return Result[K]{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Median(ds.shards)
+	return ds.pool.MedianContext(ctx, ds.shards)
 }
 
 // Quantile returns the element of rank ceil(q*n); see Pool.Quantile.
@@ -255,12 +244,7 @@ func (ds *Dataset[K]) QuantileContext(ctx context.Context, q float64) (Result[K]
 	if err := ds.enter(); err != nil {
 		return Result[K]{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Quantile(ds.shards, q)
+	return ds.pool.QuantileContext(ctx, ds.shards, q)
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
@@ -274,16 +258,7 @@ func (ds *Dataset[K]) SelectRanksContext(ctx context.Context, ranks []int64) ([]
 	if err := ds.enter(); err != nil {
 		return nil, Report{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	vals, rep, err := sel.SelectRanks(ds.shards, ranks)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return ds.pool.SelectRanksContext(ctx, ds.shards, ranks)
 }
 
 // Quantiles returns the elements at several quantiles in one collective
@@ -297,16 +272,7 @@ func (ds *Dataset[K]) QuantilesContext(ctx context.Context, qs []float64) ([]K, 
 	if err := ds.enter(); err != nil {
 		return nil, Report{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	vals, rep, err := sel.Quantiles(ds.shards, qs)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return ds.pool.QuantilesContext(ctx, ds.shards, qs)
 }
 
 // TopK returns the k largest resident elements in descending order; see
@@ -320,12 +286,7 @@ func (ds *Dataset[K]) TopKContext(ctx context.Context, k int) ([]K, Report, erro
 	if err := ds.enter(); err != nil {
 		return nil, Report{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.TopK(ds.shards, k)
+	return ds.pool.TopKContext(ctx, ds.shards, k)
 }
 
 // BottomK returns the k smallest resident elements in ascending order;
@@ -339,12 +300,7 @@ func (ds *Dataset[K]) BottomKContext(ctx context.Context, k int) ([]K, Report, e
 	if err := ds.enter(); err != nil {
 		return nil, Report{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.BottomK(ds.shards, k)
+	return ds.pool.BottomKContext(ctx, ds.shards, k)
 }
 
 // Summary computes the five-number summary in a single multi-rank run;
@@ -358,10 +314,5 @@ func (ds *Dataset[K]) SummaryContext(ctx context.Context) (FiveNumber[K], Report
 	if err := ds.enter(); err != nil {
 		return FiveNumber[K]{}, Report{}, err
 	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return FiveNumber[K]{}, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Summary(ds.shards)
+	return ds.pool.SummaryContext(ctx, ds.shards)
 }

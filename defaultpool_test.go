@@ -16,8 +16,9 @@ import (
 // machines, never rebuild one per call (the pre-PR-3 wrappers built and
 // tore down a machine every time).
 func TestPackageWrappersShareDefaultPool(t *testing.T) {
-	// A seed no other test uses, so this test owns its default pool and
-	// the counters start from zero.
+	// A seed no other test uses, so this test owns its default pool; the
+	// reset makes the counters start from zero under -count too.
+	parsel.ResetDefaultPoolsForTest()
 	opts := parsel.Options{Machine: parsel.Machine{Seed: 0xD00DF00D}}
 	shards := workload.Generate(workload.Random, 20000, 6, 11)
 	flat := workload.Flatten(shards)
@@ -44,12 +45,23 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Two concurrent calls may each build a machine (the pool is cold),
-	// but never more than two.
-	run(2)
+	// A cold sequential call builds exactly one machine in the shared
+	// pool.
+	run(1)
+	if st := parsel.DefaultPoolStatsForTest(opts); st.Creates != 1 {
+		t.Fatalf("cold wrapper built %d machines, want 1", st.Creates)
+	}
+	// Two concurrent calls need two resident machines. Leaving the
+	// second to a racy cold burst would let a burst that happened to
+	// serialize build one, and the warm burst below then legitimately
+	// grow the pool (MaxMachines is at least 4), so the second machine
+	// is provisioned deterministically.
+	if err := parsel.WarmDefaultPoolForTest(opts, len(shards), 2); err != nil {
+		t.Fatal(err)
+	}
 	st := parsel.DefaultPoolStatsForTest(opts)
-	if st.Creates == 0 || st.Creates > 2 {
-		t.Fatalf("cold concurrent wrappers built %d machines, want 1-2", st.Creates)
+	if st.Creates != 2 {
+		t.Fatalf("warm-up left %d machines built, want 2", st.Creates)
 	}
 	cold := st.Creates
 

@@ -54,6 +54,19 @@ func DefaultPoolStatsForTest(opts Options) PoolStats {
 	return pl.Stats()
 }
 
+// WarmDefaultPoolForTest pre-provisions count procs-shaped machines in
+// the shared default pool the package-level wrappers route through for
+// (opts, int64), so a test can start from a known resident set instead
+// of whatever a racy cold burst happened to build.
+func WarmDefaultPoolForTest(opts Options, procs, count int) error {
+	pl, done, err := defaultPool[int64](opts)
+	if err != nil {
+		return err
+	}
+	defer done()
+	return pl.Warm(procs, count)
+}
+
 // DefaultPoolCountForTest reports how many shared default pools are
 // resident (the cache the wrappers intern pools into).
 func DefaultPoolCountForTest() int {

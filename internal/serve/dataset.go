@@ -160,22 +160,14 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
 				"datasets are PUT (upload), GET (info) or DELETE requests")
 		}
-	case "query":
+	case "query", "querymany":
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
 				"dataset queries are POST requests")
 			return
 		}
-		s.handleDatasetQuery(w, r, id)
-	case "querymany":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
-				"dataset queries are POST requests")
-			return
-		}
-		s.handleDatasetQueryMany(w, r, id)
+		s.handleDatasetQuery(w, r, id, op == "querymany")
 	case "snapshot":
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
@@ -703,11 +695,13 @@ func writeSnapshotOf[K snapshot.FixedKey](s *Server, w http.ResponseWriter, kind
 	_, _ = snapshot.WriteTo(w, h, shards)
 }
 
-// handleDatasetQuery serves POST /v1/datasets/{id}/query: the
-// query-many half of the resident contract. The body carries the query
-// parameters only; the keys are already resident. A successful lookup
-// resets the dataset's TTL.
-func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id string) {
+// handleDatasetQuery serves POST /v1/datasets/{id}/query and, with
+// many set, POST /v1/datasets/{id}/querymany: the query-many half of
+// the resident contract. The body carries query parameters only (one
+// query, or a batch under one admission token and one shared admission
+// deadline); the keys are already resident. A successful lookup resets
+// the dataset's TTL.
+func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id string, many bool) {
 	start := time.Now()
 	if s.refuseIfDraining(w) {
 		return
@@ -723,187 +717,132 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id s
 		s.writeRequestError(w, err)
 		return
 	}
-	q, ep, err := ParseDatasetQuery(body, s.opts.Limits)
-	if err != nil {
+	parse := parseDatasetQuery
+	if many {
+		parse = parseDatasetQueryMany
+	}
+	b := queryBatch{many: many, resident: true}
+	if b.items, b.timeoutMS, err = parse(body, s.opts.Limits); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
 
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
-	if ok {
-		e.expires = now.Add(s.opts.DatasetTTL)
-		if s.snap != nil && e.expires.Sub(e.persistedExpires) >= s.opts.DatasetTTL/2 {
-			s.markDirty(id) // metadata-only re-persist of the advanced TTL
-		}
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
-	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
+	e := s.touchDataset(w, id)
+	if e == nil {
 		return
 	}
-
-	if q.KeyKind != "" && q.KeyKind != e.kind {
-		s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
-			"dataset %q holds %s keys; the query asked for %s", id, e.kind, q.KeyKind))
-		return
-	}
-
-	switch ds := e.ds.(type) {
-	case *parsel.Dataset[float64]:
-		finishDatasetQuery(s, w, r, ds, ep, q, start)
-	case *parsel.Dataset[string]:
-		finishDatasetQuery(s, w, r, ds, ep, q, start)
-	default:
-		finishDatasetQuery(s, w, r, e.ds.(*parsel.Dataset[int64]), ep, q, start)
-	}
-}
-
-// finishDatasetQuery is the kind-typed tail of a single dataset query.
-func finishDatasetQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ds *parsel.Dataset[K], ep Endpoint, q *parselclient.DatasetQuery, start time.Time) {
-	ctx, cancel := s.admissionContext(r, q.TimeoutMS)
-	defer cancel()
-	tr := trackFrom(r.Context())
-	if tr != nil {
-		tr.kind = parselclient.KeyKindOf[K]()
-		tr.markQueue()
-		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
-	}
-	execStart := time.Now()
-	resp, err := executeDatasetOf(ctx, ds, ep, q)
-	if tr != nil {
-		tr.exec = time.Since(execStart)
-	}
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-
-	s.dsMu.Lock()
-	s.dstats.Queries++
-	s.dsMu.Unlock()
-	s.observe(time.Since(start), resp.Report)
-	if tr != nil {
-		w.Header().Set(StagesHeader, tr.stagesValue())
-	}
-	writeResultOf(w, wantsFrame(r), resp)
-}
-
-// handleDatasetQueryMany serves POST /v1/datasets/{id}/querymany: a
-// batch of independent queries against one resident dataset, answered
-// in a single round trip under one admission token and one shared
-// admission deadline. Items fan out across workers bounded by the
-// pool's machine count (the same worker pattern as the library's batch
-// entry points); per-item failures carry the same stable wire codes
-// single queries map onto HTTP statuses, and one failing item never
-// poisons the rest. Results align with the request.
-func (s *Server) handleDatasetQueryMany(w http.ResponseWriter, r *http.Request, id string) {
-	start := time.Now()
-	if s.refuseIfDraining(w) {
-		return
-	}
-	release, ok := s.admitOrReject(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
-	body, err := readBody(w, r, s.opts.Limits.MaxBodyBytes)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	queries, eps, timeoutMS, err := ParseDatasetQueryMany(body, s.opts.Limits)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
-	if ok {
-		e.expires = now.Add(s.opts.DatasetTTL)
-		if s.snap != nil && e.expires.Sub(e.persistedExpires) >= s.opts.DatasetTTL/2 {
-			s.markDirty(id) // metadata-only re-persist of the advanced TTL
-		}
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
-	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
-		return
-	}
-
-	for i := range queries {
-		if k := queries[i].KeyKind; k != "" && k != e.kind {
+	for i := range b.items {
+		if k := b.items[i].q.KeyKind; k != "" && k != e.kind {
+			query := "the query"
+			if many {
+				query = fmt.Sprintf("query %d", i)
+			}
 			s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
-				"dataset %q holds %s keys; query %d asked for %s", id, e.kind, i, k))
+				"dataset %q holds %s keys; %s asked for %s", id, e.kind, query, k))
 			return
 		}
 	}
-
+	markQueued(r, e.kind)
 	switch ds := e.ds.(type) {
 	case *parsel.Dataset[float64]:
-		finishDatasetQueryMany(s, w, r, ds, queries, eps, timeoutMS, start)
+		finishQueries(s, w, r, ds, b, start)
 	case *parsel.Dataset[string]:
-		finishDatasetQueryMany(s, w, r, ds, queries, eps, timeoutMS, start)
+		finishQueries(s, w, r, ds, b, start)
 	default:
-		finishDatasetQueryMany(s, w, r, e.ds.(*parsel.Dataset[int64]), queries, eps, timeoutMS, start)
+		finishQueries(s, w, r, e.ds.(*parsel.Dataset[int64]), b, start)
 	}
 }
 
-// finishDatasetQueryMany is the kind-typed tail of a batch query: fan
-// out, aggregate, answer.
-func finishDatasetQueryMany[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ds *parsel.Dataset[K], queries []parselclient.DatasetQuery, eps []Endpoint, timeoutMS int64, start time.Time) {
-	ctx, cancel := s.admissionContext(r, timeoutMS)
+// touchDataset resolves a queried dataset id: sweep, look up, and reset
+// the TTL (re-persisting the deadline when it has advanced far enough).
+// A miss answers 404 dataset_not_found and returns nil.
+func (s *Server) touchDataset(w http.ResponseWriter, id string) *dsEntry {
+	s.dsMu.Lock()
+	now := s.now()
+	s.sweepLocked(now)
+	e, ok := s.datasets[id]
+	if ok {
+		e.expires = now.Add(s.opts.DatasetTTL)
+		if s.snap != nil && e.expires.Sub(e.persistedExpires) >= s.opts.DatasetTTL/2 {
+			s.markDirty(id) // metadata-only re-persist of the advanced TTL
+		}
+	} else {
+		s.dstats.NotFound++
+	}
+	s.dsMu.Unlock()
+	if !ok {
+		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
+		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
+			fmt.Sprintf("no resident dataset %q", id))
+		return nil
+	}
+	return e
+}
+
+// markQueued closes the request's queue stage (admission, body read,
+// parse, dataset resolution) and labels the request with its key kind.
+func markQueued(r *http.Request, kind string) {
+	if tr := trackFrom(r.Context()); tr != nil {
+		tr.kind = kind
+		tr.markQueue()
+	}
+}
+
+// queryItem is one validated query: its endpoint and its parameters.
+type queryItem struct {
+	ep Endpoint
+	q  parselclient.DatasetQuery
+}
+
+// queryBatch is what the query tail runs against one dataset.
+type queryBatch struct {
+	items []queryItem
+	// timeoutMS is the batch's one admission deadline.
+	timeoutMS int64
+	// many answers in the querymany shape, with per-item errors; a
+	// single query answers its error as an HTTP status instead.
+	many bool
+	// resident marks a registered dataset, whose served queries count
+	// toward datasets.queries; an ephemeral one's do not.
+	resident bool
+}
+
+// finishQueries is the kind-typed tail every query ends in, single or
+// batched, resident or shard-carrying: run the items, account for
+// them, answer in the negotiated encoding. One item runs inline on the
+// handler goroutine; a batch fans out across workers bounded by the
+// dataset's pool machine count (the same worker pattern as the
+// library's batch entry points). Per-item failures carry the same
+// stable wire codes single queries map onto HTTP statuses, and one
+// failing item never poisons the rest. Results align with the request.
+func finishQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ds *parsel.Dataset[K], b queryBatch, start time.Time) {
+	ctx, cancel := s.admissionContext(r, b.timeoutMS)
 	defer cancel()
 	tr := trackFrom(r.Context())
 	if tr != nil {
-		tr.kind = parselclient.KeyKindOf[K]()
-		tr.markQueue()
-		// observeCheckout adds atomically: the fan-out workers below all
-		// attribute their pool waits to this one request.
+		// observeCheckout adds atomically: batch workers all attribute
+		// their pool waits to this one request.
 		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
 	}
 	execStart := time.Now()
-
-	results := make([]parselclient.QueryManyResultOf[K], len(queries))
-	workers := min(s.pool.MaxMachines(), len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				resp, err := executeDatasetOf(ctx, ds, eps[i], &queries[i])
-				if err != nil {
-					_, code := errorStatus(err)
-					results[i] = parselclient.QueryManyResultOf[K]{
-						Error: &parselclient.ErrorDetail{Code: code, Message: err.Error()},
-					}
-					continue
-				}
-				results[i] = parselclient.QueryManyResultOf[K]{ResponseOf: *resp}
-			}
-		}()
+	results := make([]parselclient.QueryManyResultOf[K], len(b.items))
+	var err error
+	if workers := min(poolOf[K](s).MaxMachines(), len(b.items)); workers > 1 {
+		fanOut(workers, len(b.items), func(i int) {
+			_ = executeItem(ctx, ds, &b.items[i], &results[i]) // reported per item
+		})
+	} else {
+		for i := range b.items {
+			err = executeItem(ctx, ds, &b.items[i], &results[i])
+		}
 	}
-	wg.Wait()
+	if tr != nil {
+		tr.exec = time.Since(execStart)
+	}
+	if !b.many && err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
 
 	// One 200 response, one latency observation; the simulated metrics
 	// and the dataset query counter aggregate per successful item, so a
@@ -919,9 +858,11 @@ func finishDatasetQueryMany[K parselclient.Key](s *Server, w http.ResponseWriter
 		agg.Messages += results[i].Report.Messages
 		agg.Bytes += results[i].Report.Bytes
 	}
-	s.dsMu.Lock()
-	s.dstats.Queries += okItems
-	s.dsMu.Unlock()
+	if b.resident {
+		s.dsMu.Lock()
+		s.dstats.Queries += okItems
+		s.dsMu.Unlock()
+	}
 	s.mu.Lock()
 	s.srv.OK++
 	s.sim.Queries += okItems
@@ -931,69 +872,110 @@ func finishDatasetQueryMany[K parselclient.Key](s *Server, w http.ResponseWriter
 	s.mu.Unlock()
 	s.metrics.latency.Observe(time.Since(start).Seconds())
 	if tr != nil {
-		tr.exec = time.Since(execStart)
 		w.Header().Set(StagesHeader, tr.stagesValue())
 	}
 
-	if wantsFrame(r) && parselclient.KeyKindOf[K]() != parselclient.KeyKindString {
+	switch {
+	case wantsFrame(r) && parselclient.KeyKindOf[K]() != parselclient.KeyKindString:
+		// String results have no frame encoding and are answered as JSON
+		// regardless of Accept; negotiation is per response
+		// Content-Type, so a framing client still decodes them.
 		writeFrameResultsOf(w, results)
-		return
+	case b.many:
+		writeJSON(w, http.StatusOK, parselclient.QueryManyResponseOf[K]{Results: results})
+	default:
+		writeJSON(w, http.StatusOK, &results[0].ResponseOf)
 	}
-	writeJSON(w, http.StatusOK, parselclient.QueryManyResponseOf[K]{Results: results})
 }
 
-// executeDatasetOf dispatches one validated dataset query, mirroring
-// executeOn over the resident shards.
-func executeDatasetOf[K parselclient.Key](ctx context.Context, ds *parsel.Dataset[K], ep Endpoint, q *parselclient.DatasetQuery) (*parselclient.ResponseOf[K], error) {
+// fanOut calls do(i) for every i in [0, n) across workers goroutines
+// and returns once all calls have.
+func fanOut(workers, n int, do func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// executeItem runs one query into out. A failure becomes the item's
+// wire error and is also returned, so a single query can answer it as
+// an HTTP status.
+func executeItem[K parselclient.Key](ctx context.Context, ds *parsel.Dataset[K], it *queryItem, out *parselclient.QueryManyResultOf[K]) error {
+	resp, err := execute(ctx, ds, it.ep, &it.q)
+	if err != nil {
+		_, code := errorStatus(err)
+		out.Error = &parselclient.ErrorDetail{Code: code, Message: err.Error()}
+		return err
+	}
+	out.ResponseOf = resp
+	return nil
+}
+
+// execute is the one query switch: it dispatches one validated query
+// to the dataset and shapes the response.
+func execute[K parselclient.Key](ctx context.Context, ds *parsel.Dataset[K], ep Endpoint, q *parselclient.DatasetQuery) (parselclient.ResponseOf[K], error) {
+	var none parselclient.ResponseOf[K]
 	switch ep {
 	case EpSelect:
 		res, err := ds.SelectContext(ctx, *q.Rank)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return scalarResponse(res), nil
 	case EpMedian:
 		res, err := ds.MedianContext(ctx)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return scalarResponse(res), nil
 	case EpQuantile:
 		res, err := ds.QuantileContext(ctx, *q.Q)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return scalarResponse(res), nil
 	case EpQuantiles:
 		vals, rep, err := ds.QuantilesContext(ctx, q.Qs)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return multiResponse(vals, rep), nil
 	case EpRanks:
 		vals, rep, err := ds.SelectRanksContext(ctx, q.Ranks)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return multiResponse(vals, rep), nil
 	case EpTopK:
 		vals, rep, err := ds.TopKContext(ctx, *q.K)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return multiResponse(vals, rep), nil
 	case EpBottomK:
 		vals, rep, err := ds.BottomKContext(ctx, *q.K)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		return multiResponse(vals, rep), nil
 	case EpSummary:
 		fn, rep, err := ds.SummaryContext(ctx)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		return &parselclient.ResponseOf[K]{
+		return parselclient.ResponseOf[K]{
 			KeyKind: wireKindField[K](),
 			Summary: &parselclient.SummaryOf[K]{
 				Min: fn.Min, Q1: fn.Q1, Median: fn.Median, Q3: fn.Q3, Max: fn.Max,
@@ -1001,5 +983,5 @@ func executeDatasetOf[K parselclient.Key](ctx context.Context, ds *parsel.Datase
 			Report: parselclient.WireReport(rep),
 		}, nil
 	}
-	return nil, fmt.Errorf("serve: unknown endpoint %d", int(ep))
+	return none, fmt.Errorf("serve: unknown endpoint %d", int(ep))
 }

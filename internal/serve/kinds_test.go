@@ -839,3 +839,43 @@ func TestTenantLedgerReconcileStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestDatasetQueryManyFanOutUsesKindPool pins the querymany fan-out
+// width to the queried dataset's own pool. A float64 pool of one
+// machine beside a four-machine int64 pool must run a 16-item float64
+// batch without a single checkout wait: every extra worker would only
+// queue on the float64 pool's semaphore (and could hit pool_timeout
+// under a short deadline).
+func TestDatasetQueryManyFanOutUsesKindPool(t *testing.T) {
+	f64, err := parsel.NewPool[float64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f64.Close()
+	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 4}, serve.Options{PoolFloat64: f64})
+	defer d.close()
+
+	ctx := context.Background()
+	ds := parselclient.Keyed[float64](d.client).Dataset("narrow")
+	if _, err := ds.Upload(ctx, [][]float64{{2.5, -1, 9.75}, {0.125, 3, 7.5}, {1e-3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]parselclient.DatasetQuery, 16)
+	for i := range queries {
+		rank := int64(1 + i%8)
+		queries[i] = parselclient.DatasetQuery{Kind: parselclient.KindSelect, Rank: &rank}
+	}
+	results, err := ds.QueryMany(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range results {
+		if err := results[i].Err(); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if st := f64.Stats(); st.Waits != 0 {
+		t.Errorf("float64 pool saw %d checkout waits for a 16-item batch, want 0 (fan-out wider than its %d machine)",
+			st.Waits, f64.MaxMachines())
+	}
+}

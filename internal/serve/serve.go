@@ -9,6 +9,19 @@
 // which this package shares types with; cmd/parseld wraps this handler
 // in a daemon process.
 //
+// # One query path
+//
+// Every query runs against a parsel.Dataset through one executor and
+// one reply tail. The resident endpoints (/v1/datasets/{id}/query and
+// /querymany) look their dataset up in the registry. The eight
+// shard-carrying endpoints (/v1/select … /v1/summary) adopt the
+// request's decoded shards as an ephemeral dataset (Pool.RestoreDataset,
+// no copy) that lives for that one request: it is never registered, so
+// it has no TTL, no budget or tenant charge, no snapshot and no
+// datasets.queries count. The paper's coarse-grained model is the same
+// either way: each simulated processor already holds its shard when the
+// selection starts.
+//
 // # Overload behavior
 //
 // Three lines of defense keep the daemon responsive under load:
@@ -516,62 +529,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// The statusWriter variants forward the optional interfaces the
-// underlying ResponseWriter supports. A plain statusWriter would hide
-// them — interface assertions see the wrapper, not what it wraps — so
-// wrapping the net/http writer used to cost streaming handlers their
-// Flush and the body copy its sendfile fast path.
-
-type statusWriterFlusher struct {
-	*statusWriter
-	f http.Flusher
-}
-
-func (w *statusWriterFlusher) Flush() {
-	// A flush sends the headers if none were written; the status is
-	// committed either way.
-	w.commit(http.StatusOK)
-	w.f.Flush()
-}
-
-type statusWriterReaderFrom struct {
-	*statusWriter
-	rf io.ReaderFrom
-}
-
-func (w *statusWriterReaderFrom) ReadFrom(r io.Reader) (int64, error) {
-	w.commit(http.StatusOK)
-	return w.rf.ReadFrom(r)
-}
-
-type statusWriterFlusherReaderFrom struct {
-	statusWriterFlusher
-	rf io.ReaderFrom
-}
-
-func (w *statusWriterFlusherReaderFrom) ReadFrom(r io.Reader) (int64, error) {
-	w.commit(http.StatusOK)
-	return w.rf.ReadFrom(r)
-}
-
-// wrapStatusWriter wraps w for the recovery middleware, returning the
-// tracking core plus the writer to pass downstream — the narrowest
-// variant that still exposes every optional interface w supports.
-func wrapStatusWriter(w http.ResponseWriter) (*statusWriter, http.ResponseWriter) {
-	sw := &statusWriter{ResponseWriter: w}
-	f, isFlusher := w.(http.Flusher)
-	rf, isReaderFrom := w.(io.ReaderFrom)
-	switch {
-	case isFlusher && isReaderFrom:
-		return sw, &statusWriterFlusherReaderFrom{statusWriterFlusher{sw, f}, rf}
-	case isFlusher:
-		return sw, &statusWriterFlusher{sw, f}
-	case isReaderFrom:
-		return sw, &statusWriterReaderFrom{sw, rf}
-	default:
-		return sw, sw
-	}
-}
+// Unwrap exposes the wrapped writer to http.ResponseController, which
+// is how handlers reach the optional interfaces (Flush, ReadFrom,
+// deadlines) the wrapper itself does not declare.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // recoverPanics is the outermost middleware: a panicking handler
 // answers a structured 500 instead of tearing down the connection (and
@@ -593,8 +554,8 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			tr.id = obs.NewRequestID()
 		}
 		r = r.WithContext(context.WithValue(r.Context(), trackKey{}, tr))
-		sw, dw := wrapStatusWriter(w)
-		dw.Header().Set(RequestIDHeader, tr.id)
+		sw := &statusWriter{ResponseWriter: w}
+		sw.Header().Set(RequestIDHeader, tr.id)
 		defer func() {
 			rec := recover()
 			if rec != nil {
@@ -615,7 +576,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			}
 			s.finishRequest(tr, sw.code, r)
 		}()
-		next.ServeHTTP(dw, r)
+		next.ServeHTTP(sw, r)
 	})
 }
 
@@ -736,46 +697,37 @@ func (s *Server) queryHandler(ep Endpoint) http.HandlerFunc {
 		}
 		switch kind {
 		case parselclient.KeyKindFloat64:
-			runQuery[float64](s, w, r, ep, body, start)
+			runShardQuery[float64](s, w, r, ep, body, start)
 		case parselclient.KeyKindString:
-			runQuery[string](s, w, r, ep, body, start)
+			runShardQuery[string](s, w, r, ep, body, start)
 		default:
-			runQuery[int64](s, w, r, ep, body, start)
+			runShardQuery[int64](s, w, r, ep, body, start)
 		}
 	}
 }
 
-// runQuery is the kind-typed tail of a one-shot query: parse the body
-// under K's schema, run it on K's pool, answer in the negotiated
-// encoding. Admission already happened in the caller.
-func runQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ep Endpoint, body []byte, start time.Time) {
+// runShardQuery is the kind-typed half of a shard-carrying query:
+// parse the body under K's schema, adopt the decoded shards as an
+// ephemeral dataset (see "One query path" above), run it through the
+// query tail, and close it once the reply is written. Admission already
+// happened in the caller.
+func runShardQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ep Endpoint, body []byte, start time.Time) {
 	req, err := ParseRequestOf[K](ep, body, s.opts.Limits)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	ctx, cancel := s.admissionContext(r, req.TimeoutMS)
-	defer cancel()
-	tr := trackFrom(r.Context())
-	if tr != nil {
-		tr.kind = parselclient.KeyKindOf[K]()
-		tr.markQueue()
-		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
-	}
-	execStart := time.Now()
-	resp, err := executeOn(ctx, poolOf[K](s), ep, req)
-	if tr != nil {
-		tr.exec = time.Since(execStart)
-	}
+	markQueued(r, parselclient.KeyKindOf[K]())
+	ds, err := poolOf[K](s).RestoreDataset(req.Shards)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	s.observe(time.Since(start), resp.Report)
-	if tr != nil {
-		w.Header().Set(StagesHeader, tr.stagesValue())
-	}
-	writeResultOf(w, wantsFrame(r), resp)
+	defer ds.Close()
+	items := []queryItem{{ep: ep, q: parselclient.DatasetQuery{
+		Rank: req.Rank, Ranks: req.Ranks, Q: req.Q, Qs: req.Qs, K: req.K,
+	}}}
+	finishQueries(s, w, r, ds, queryBatch{items: items, timeoutMS: req.TimeoutMS}, start)
 }
 
 // poolOf picks the Server's pool for key kind K.
@@ -831,19 +783,6 @@ func frameBits[K parselclient.Key](vals []K) ([]int64, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// writeResultOf writes one successful query response in the negotiated
-// encoding: JSON by default, a one-entry binary frame when Accept asked
-// for it. String results have no frame encoding and are answered as
-// JSON regardless of Accept — negotiation is per response Content-Type,
-// so a framing client still decodes them.
-func writeResultOf[K parselclient.Key](w http.ResponseWriter, frame bool, resp *parselclient.ResponseOf[K]) {
-	if !frame || parselclient.KeyKindOf[K]() == parselclient.KeyKindString {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	writeFrameResultsOf(w, []parselclient.QueryManyResultOf[K]{{ResponseOf: *resp}})
 }
 
 // writeFrameResultsOf writes results as a binary frame, one entry per
@@ -942,83 +881,21 @@ func wireKindField[K parselclient.Key]() string {
 	return ""
 }
 
-// executeOn dispatches one validated request to a kind's pool and
-// shapes the response.
-func executeOn[K parselclient.Key](ctx context.Context, pool *parsel.Pool[K], ep Endpoint, req *parselclient.RequestOf[K]) (*parselclient.ResponseOf[K], error) {
-	switch ep {
-	case EpSelect:
-		res, err := pool.SelectContext(ctx, req.Shards, *req.Rank)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpMedian:
-		res, err := pool.MedianContext(ctx, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantile:
-		res, err := pool.QuantileContext(ctx, req.Shards, *req.Q)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantiles:
-		vals, rep, err := pool.QuantilesContext(ctx, req.Shards, req.Qs)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpRanks:
-		vals, rep, err := pool.SelectRanksContext(ctx, req.Shards, req.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpTopK:
-		vals, rep, err := pool.TopKContext(ctx, req.Shards, *req.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpBottomK:
-		vals, rep, err := pool.BottomKContext(ctx, req.Shards, *req.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpSummary:
-		fn, rep, err := pool.SummaryContext(ctx, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return &parselclient.ResponseOf[K]{
-			KeyKind: wireKindField[K](),
-			Summary: &parselclient.SummaryOf[K]{
-				Min: fn.Min, Q1: fn.Q1, Median: fn.Median, Q3: fn.Q3, Max: fn.Max,
-			},
-			Report: parselclient.WireReport(rep),
-		}, nil
-	}
-	return nil, fmt.Errorf("serve: unknown endpoint %d", int(ep))
-}
-
 // scalarResponse shapes a single-value result.
-func scalarResponse[K parselclient.Key](res parsel.Result[K]) *parselclient.ResponseOf[K] {
+func scalarResponse[K parselclient.Key](res parsel.Result[K]) parselclient.ResponseOf[K] {
 	v := res.Value
-	return &parselclient.ResponseOf[K]{
+	return parselclient.ResponseOf[K]{
 		KeyKind: wireKindField[K](), Value: &v, Report: parselclient.WireReport(res.Report),
 	}
 }
 
 // multiResponse shapes a multi-value result; the empty (k=0) result
 // stays a JSON [] rather than null.
-func multiResponse[K parselclient.Key](vals []K, rep parsel.Report) *parselclient.ResponseOf[K] {
+func multiResponse[K parselclient.Key](vals []K, rep parsel.Report) parselclient.ResponseOf[K] {
 	if vals == nil {
 		vals = []K{}
 	}
-	return &parselclient.ResponseOf[K]{
+	return parselclient.ResponseOf[K]{
 		KeyKind: wireKindField[K](), Values: vals, Report: parselclient.WireReport(rep),
 	}
 }

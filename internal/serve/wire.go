@@ -292,22 +292,18 @@ func ParseDatasetUploadOf[K parselclient.Key](body []byte, lim Limits) (*parselc
 	return &up, nil
 }
 
-// ParseDatasetUpload is ParseDatasetUploadOf for the historical int64
-// wire.
-func ParseDatasetUpload(body []byte, lim Limits) (*parselclient.DatasetUpload, error) {
-	return ParseDatasetUploadOf[int64](body, lim)
-}
-
-// ParseDatasetQuery decodes and validates a POST /v1/datasets/{id}/query
-// body, resolving its kind to the endpoint whose field rules it shares.
-func ParseDatasetQuery(body []byte, lim Limits) (*parselclient.DatasetQuery, Endpoint, error) {
+// parseDatasetQuery decodes and validates a POST
+// /v1/datasets/{id}/query body as a one-item batch plus its timeout_ms,
+// resolving its kind to the endpoint whose field rules it shares.
+func parseDatasetQuery(body []byte, lim Limits) ([]queryItem, int64, error) {
 	lim = lim.withDefaults()
 	if int64(len(body)) > lim.MaxBodyBytes {
 		return nil, 0, parseErrf(parselclient.CodeTooLarge,
 			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
 	}
-	var q parselclient.DatasetQuery
-	if err := json.Unmarshal(body, &q); err != nil {
+	items := make([]queryItem, 1)
+	q := &items[0].q
+	if err := json.Unmarshal(body, q); err != nil {
 		return nil, 0, parseErrf(parselclient.CodeBadJSON, "decode query: %v", err)
 	}
 	if q.Kind == "" {
@@ -329,64 +325,65 @@ func ParseDatasetQuery(body []byte, lim Limits) (*parselclient.DatasetQuery, End
 	}, lim); err != nil {
 		return nil, 0, err
 	}
-	return &q, ep, nil
+	items[0].ep = ep
+	return items, q.TimeoutMS, nil
 }
 
-// ParseDatasetQueryMany decodes and validates a POST
-// /v1/datasets/{id}/querymany body. Structural failures anywhere in the
-// batch fail the whole request with a 400 — a malformed batch is a
-// client bug, unlike per-item runtime failures (rank out of range, pool
-// timeout), which the handler reports per item. Returned endpoints
-// align with the queries.
-func ParseDatasetQueryMany(body []byte, lim Limits) ([]parselclient.DatasetQuery, []Endpoint, int64, error) {
+// parseDatasetQueryMany decodes and validates a POST
+// /v1/datasets/{id}/querymany body into its items and the batch's
+// timeout_ms. Structural failures anywhere in the batch fail the whole
+// request with a 400 — a malformed batch is a client bug, unlike
+// per-item runtime failures (rank out of range, pool timeout), which
+// the handler reports per item. Items align with the queries.
+func parseDatasetQueryMany(body []byte, lim Limits) ([]queryItem, int64, error) {
 	lim = lim.withDefaults()
 	if int64(len(body)) > lim.MaxBodyBytes {
-		return nil, nil, 0, parseErrf(parselclient.CodeTooLarge,
+		return nil, 0, parseErrf(parselclient.CodeTooLarge,
 			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
 	}
 	var qm parselclient.DatasetQueryMany
 	if err := json.Unmarshal(body, &qm); err != nil {
-		return nil, nil, 0, parseErrf(parselclient.CodeBadJSON, "decode querymany: %v", err)
+		return nil, 0, parseErrf(parselclient.CodeBadJSON, "decode querymany: %v", err)
 	}
 	if len(qm.Queries) == 0 {
-		return nil, nil, 0, parseErrf(parselclient.CodeMissingField, `"queries" must be a non-empty array`)
+		return nil, 0, parseErrf(parselclient.CodeMissingField, `"queries" must be a non-empty array`)
 	}
 	if len(qm.Queries) > lim.MaxBatch {
-		return nil, nil, 0, parseErrf(parselclient.CodeLimitExceeded,
+		return nil, 0, parseErrf(parselclient.CodeLimitExceeded,
 			"%d queries, limit %d per batch", len(qm.Queries), lim.MaxBatch)
 	}
 	if err := checkTimeout(qm.TimeoutMS); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	eps := make([]Endpoint, len(qm.Queries))
+	items := make([]queryItem, len(qm.Queries))
 	for i := range qm.Queries {
 		q := &qm.Queries[i]
 		if q.TimeoutMS != 0 {
-			return nil, nil, 0, parseErrf(parselclient.CodeLimitExceeded,
+			return nil, 0, parseErrf(parselclient.CodeLimitExceeded,
 				"queries[%d]: timeout_ms must be 0 — the batch shares one admission deadline", i)
 		}
 		if q.Kind == "" {
-			return nil, nil, 0, parseErrf(parselclient.CodeMissingField,
+			return nil, 0, parseErrf(parselclient.CodeMissingField,
 				`queries[%d]: "kind" is required`, i)
 		}
 		ep, ok := kinds[q.Kind]
 		if !ok {
-			return nil, nil, 0, parseErrf(parselclient.CodeBadKind,
+			return nil, 0, parseErrf(parselclient.CodeBadKind,
 				"queries[%d]: unknown query kind %q (want select, median, quantile, quantiles, ranks, topk, bottomk or summary)", i, q.Kind)
 		}
 		if err := checkKeyKind(q.KeyKind); err != nil {
 			pe := err.(*ParseError)
-			return nil, nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
+			return nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
 		}
 		if err := checkParams(ep, queryParams{
 			rank: q.Rank, ranks: q.Ranks, q: q.Q, qs: q.Qs, k: q.K,
 		}, lim); err != nil {
 			pe := err.(*ParseError)
-			return nil, nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
+			return nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
 		}
-		eps[i] = ep
+		items[i] = queryItem{ep: ep, q: *q}
 	}
-	return qm.Queries, eps, qm.TimeoutMS, nil
+	return items, qm.TimeoutMS, nil
 }
 
 // maxDatasetIDLen bounds dataset ids on the wire.
